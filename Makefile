@@ -8,9 +8,9 @@ GO ?= go
 # `make fuzz-smoke FUZZTIME=5m`.
 FUZZTIME ?= 10s
 
-.PHONY: ci build vet test race bench bench-smoke bench-baseline fuzz-smoke fault-smoke obs-smoke chaos-smoke stream-smoke cluster-smoke mem-smoke mem-bench-smoke qc-smoke
+.PHONY: ci build vet test race bench bench-smoke bench-baseline fuzz-smoke fault-smoke obs-smoke chaos-smoke stream-smoke cluster-smoke mem-smoke mem-bench-smoke qc-smoke servebench
 
-ci: vet race fuzz-smoke fault-smoke obs-smoke bench-smoke chaos-smoke stream-smoke cluster-smoke mem-smoke mem-bench-smoke qc-smoke
+ci: vet race fuzz-smoke fault-smoke obs-smoke bench-smoke chaos-smoke stream-smoke cluster-smoke mem-smoke mem-bench-smoke qc-smoke servebench
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# servebench is its own module (the served-job benchmark), so the root
+# module's ./... skips it; this step vets it and runs its unit tests.
+servebench:
+	cd servebench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

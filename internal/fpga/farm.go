@@ -280,14 +280,15 @@ func sortEvents(events []Event) {
 	})
 }
 
-// verifyRun is the host's acceptance gate for one shard run: the batch
-// checksum always, plus a sampled CPU cross-check when configured.
-func (f *Farm) verifyRun(k *Kernel, shard []dna.Seq, run *RunResult) error {
-	if err := run.VerifyChecksum(); err != nil {
-		return err
+// verifyRun is the host's acceptance gate for one shard's exact-pass
+// results: the batch checksum always, plus a sampled CPU cross-check when
+// configured.
+func (f *Farm) verifyRun(k *Kernel, shard []dna.Seq, results []core.MapResult, checksum uint64) error {
+	if ChecksumResults(results) != checksum {
+		return ErrResultCorrupt
 	}
 	if s := f.opts.VerifyStride; s > 0 {
-		if err := core.VerifySampled(k.ix, shard, run.Results, s); err != nil {
+		if err := core.VerifySampled(k.ix, shard, results, s); err != nil {
 			return fmt.Errorf("%w: %v", errCrossCheckFailed, err)
 		}
 	}
@@ -303,78 +304,104 @@ func shardProgress(opts MapRunOptions, lo, total int) func(done, _ int) {
 	return func(done, _ int) { p(lo+done, total) }
 }
 
+// shardRun is a kernel run result the farm can stripe: each one carries the
+// modeled profile of the shard it covers.
+type shardRun interface{ profile() *Profile }
+
+func (r *RunResult) profile() *Profile     { return &r.Profile }
+func (r *TwoPassResult) profile() *Profile { return &r.Profile }
+func (r *MemRunResult) profile() *Profile  { return &r.Profile }
+
+// stripe is the farm's one execution path. It splits reads across the
+// healthy cards — on even read indexes when paired, so no mate pair splits
+// across cards — runs every shard under execShard's retry, verification and
+// redistribution, and merges each shard's results at its offset. run maps
+// one shard on one card, verify step included.
+//
+// The returned profile charges setup once, transfers and backoff serially
+// (one shared host bus), and the slowest card's kernel time, cycles and
+// reconfiguration, since the cards run in parallel. Overlap and WaveCycles
+// are per-card figures and stay unaggregated. The event log keeps per-shard
+// identity — each shard's command queue tagged with the device and attempt
+// that produced it — instead of a synthesized single-queue timeline that
+// would misattribute recovered runs.
+func stripe[R shardRun](f *Farm, reads []dna.Seq, paired bool, opts MapRunOptions,
+	run func(k *Kernel, shard []dna.Seq, opts MapRunOptions) (R, error),
+	merge func(lo int, r R)) (Profile, error) {
+	wallStart := time.Now()
+	healthy := f.healthyDevices()
+	if len(healthy) == 0 {
+		f.rec.exhausted()
+		return Profile{}, ErrNoHealthyDevices
+	}
+	n := len(healthy)
+	boundary := func(si int) int {
+		b := len(reads) * si / n
+		if paired && si < n {
+			b &^= 1
+		}
+		return b
+	}
+	agg := Profile{Setup: f.kernels[0].dev.cfg.SetupTime}
+	var events []Event
+	for si, di := range healthy {
+		lo, hi := boundary(si), boundary(si+1)
+		if lo == hi {
+			continue
+		}
+		shard := reads[lo:hi]
+		shardOpts := opts
+		shardOpts.Progress = shardProgress(opts, lo, len(reads))
+		r, backoff, winner, err := execShard(f, opts.Context, di, healthy, func(k *Kernel) (R, error) {
+			return run(k, shard, shardOpts)
+		})
+		if err != nil {
+			return Profile{}, err
+		}
+		p := r.profile()
+		f.observeRun(*p, backoff)
+		events = append(events, tagEvents(p.Events, winner.Device, winner.Attempt, si)...)
+		merge(lo, r)
+		agg.IndexTransfer += p.IndexTransfer
+		agg.QueryTransfer += p.QueryTransfer
+		agg.ResultTransfer += p.ResultTransfer
+		agg.RetryBackoff += backoff
+		agg.KernelTime = max(agg.KernelTime, p.KernelTime)
+		agg.KernelCycles = max(agg.KernelCycles, p.KernelCycles)
+		agg.Reconfig = max(agg.Reconfig, p.Reconfig)
+	}
+	sortEvents(events)
+	agg.Events = events
+	agg.HostWallTime = time.Since(wallStart)
+	return agg, nil
+}
+
 // MapReads stripes reads across the cards; see MapReadsOpts.
 func (f *Farm) MapReads(reads []dna.Seq) (*RunResult, error) {
 	return f.MapReadsOpts(reads, MapRunOptions{})
 }
 
 // MapReadsOpts stripes reads across the healthy cards with per-shard retry,
-// checksum verification, and redistribution on device failure. The profile
-// charges setup once, transfers serially (one shared host bus), the slowest
-// card's kernel time, and the accrued retry backoff.
+// checksum verification, and redistribution on device failure; see stripe
+// for how the profile aggregates.
 func (f *Farm) MapReadsOpts(reads []dna.Seq, opts MapRunOptions) (*RunResult, error) {
-	wallStart := time.Now()
-	healthy := f.healthyDevices()
-	if len(healthy) == 0 {
-		f.rec.exhausted()
-		return nil, ErrNoHealthyDevices
-	}
-	n := len(healthy)
 	out := &RunResult{Results: make([]core.MapResult, len(reads))}
-	agg := Profile{Setup: f.kernels[0].dev.cfg.SetupTime}
-	var maxKernel time.Duration
-	var maxCycles uint64
-	var events []Event
-	for si, di := range healthy {
-		lo := len(reads) * si / n
-		hi := len(reads) * (si + 1) / n
-		if lo == hi {
-			continue
-		}
-		shard := reads[lo:hi]
-		runOpts := MapRunOptions{
-			Context:       opts.Context,
-			Progress:      shardProgress(opts, lo, len(reads)),
-			ProgressEvery: opts.ProgressEvery,
-			IndexResident: opts.IndexResident,
-		}
-		run, backoff, winner, err := execShard(f, opts.Context, di, healthy, func(k *Kernel) (*RunResult, error) {
-			r, err := k.MapReadsOpts(shard, runOpts)
+	profile, err := stripe(f, reads, false, opts,
+		func(k *Kernel, shard []dna.Seq, opts MapRunOptions) (*RunResult, error) {
+			r, err := k.MapReadsOpts(shard, opts)
 			if err != nil {
 				return nil, err
 			}
-			if err := f.verifyRun(k, shard, r); err != nil {
+			if err := f.verifyRun(k, shard, r.Results, r.Checksum); err != nil {
 				return nil, err
 			}
 			return r, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		f.observeRun(run.Profile, backoff)
-		events = append(events, tagEvents(run.Profile.Events, winner.Device, winner.Attempt, si)...)
-		copy(out.Results[lo:hi], run.Results)
-		agg.IndexTransfer += run.Profile.IndexTransfer
-		agg.QueryTransfer += run.Profile.QueryTransfer
-		agg.ResultTransfer += run.Profile.ResultTransfer
-		agg.RetryBackoff += backoff
-		if run.Profile.KernelTime > maxKernel {
-			maxKernel = run.Profile.KernelTime
-		}
-		if run.Profile.KernelCycles > maxCycles {
-			maxCycles = run.Profile.KernelCycles
-		}
+		},
+		func(lo int, r *RunResult) { copy(out.Results[lo:], r.Results) })
+	if err != nil {
+		return nil, err
 	}
-	agg.KernelTime = maxKernel
-	agg.KernelCycles = maxCycles
-	// The aggregate event log keeps per-shard identity — each shard's
-	// command queue tagged with the device and attempt that produced it —
-	// instead of a synthesized single-queue timeline that would misattribute
-	// recovered runs.
-	sortEvents(events)
-	agg.Events = events
-	agg.HostWallTime = time.Since(wallStart)
-	out.Profile = agg
+	out.Profile = profile
 	out.Checksum = ChecksumResults(out.Results)
 	return out, nil
 }
@@ -388,80 +415,32 @@ func (f *Farm) MapReadsTwoPassOpts(reads []dna.Seq, maxMismatches int, opts MapR
 	if maxMismatches < 1 {
 		return nil, fmt.Errorf("fpga: two-pass run needs a mismatch budget >= 1, got %d", maxMismatches)
 	}
-	wallStart := time.Now()
-	healthy := f.healthyDevices()
-	if len(healthy) == 0 {
-		f.rec.exhausted()
-		return nil, ErrNoHealthyDevices
-	}
-	n := len(healthy)
 	out := &TwoPassResult{
 		Exact:  make([]core.MapResult, len(reads)),
 		Approx: map[int]core.ApproxResult{},
 	}
-	agg := Profile{Setup: f.kernels[0].dev.cfg.SetupTime}
-	var maxKernel, maxReconfig time.Duration
-	var maxCycles uint64
-	var events []Event
-	for si, di := range healthy {
-		lo := len(reads) * si / n
-		hi := len(reads) * (si + 1) / n
-		if lo == hi {
-			continue
-		}
-		shard := reads[lo:hi]
-		runOpts := MapRunOptions{
-			Context:       opts.Context,
-			Progress:      shardProgress(opts, lo, len(reads)),
-			ProgressEvery: opts.ProgressEvery,
-			IndexResident: opts.IndexResident,
-		}
-		run, backoff, winner, err := execShard(f, opts.Context, di, healthy, func(k *Kernel) (*TwoPassResult, error) {
-			r, err := k.MapReadsTwoPassOpts(shard, maxMismatches, runOpts)
+	profile, err := stripe(f, reads, false, opts,
+		func(k *Kernel, shard []dna.Seq, opts MapRunOptions) (*TwoPassResult, error) {
+			r, err := k.MapReadsTwoPassOpts(shard, maxMismatches, opts)
 			if err != nil {
 				return nil, err
 			}
-			if err := r.VerifyChecksum(); err != nil {
+			if err := f.verifyRun(k, shard, r.Exact, r.Checksum); err != nil {
 				return nil, err
 			}
-			if s := f.opts.VerifyStride; s > 0 {
-				if err := core.VerifySampled(k.ix, shard, r.Exact, s); err != nil {
-					return nil, fmt.Errorf("%w: %v", errCrossCheckFailed, err)
-				}
-			}
 			return r, nil
+		},
+		func(lo int, r *TwoPassResult) {
+			copy(out.Exact[lo:], r.Exact)
+			for i, res := range r.Approx {
+				out.Approx[lo+i] = res
+			}
+			out.Rescued += r.Rescued
 		})
-		if err != nil {
-			return nil, err
-		}
-		f.observeRun(run.Profile, backoff)
-		events = append(events, tagEvents(run.Profile.Events, winner.Device, winner.Attempt, si)...)
-		copy(out.Exact[lo:hi], run.Exact)
-		for i, res := range run.Approx {
-			out.Approx[lo+i] = res
-		}
-		out.Rescued += run.Rescued
-		agg.IndexTransfer += run.Profile.IndexTransfer
-		agg.QueryTransfer += run.Profile.QueryTransfer
-		agg.ResultTransfer += run.Profile.ResultTransfer
-		agg.RetryBackoff += backoff
-		if run.Profile.Reconfig > maxReconfig {
-			maxReconfig = run.Profile.Reconfig
-		}
-		if run.Profile.KernelTime > maxKernel {
-			maxKernel = run.Profile.KernelTime
-		}
-		if run.Profile.KernelCycles > maxCycles {
-			maxCycles = run.Profile.KernelCycles
-		}
+	if err != nil {
+		return nil, err
 	}
-	agg.KernelTime = maxKernel
-	agg.KernelCycles = maxCycles
-	agg.Reconfig = maxReconfig
-	sortEvents(events)
-	agg.Events = events
-	agg.HostWallTime = time.Since(wallStart)
-	out.Profile = agg
+	out.Profile = profile
 	out.Checksum = ChecksumResults(out.Exact)
 	return out, nil
 }

@@ -269,43 +269,10 @@ func (f *Farm) MapReadsMem(reads []dna.Seq, memOpts core.MemOptions) (*MemRunRes
 // Paired batches stripe on pair boundaries so no mate pair splits across
 // cards (pairing context — rescue, proper-pair calls — is shard-local).
 func (f *Farm) MapReadsMemOpts(reads []dna.Seq, memOpts core.MemOptions, opts MapRunOptions) (*MemRunResult, error) {
-	wallStart := time.Now()
-	healthy := f.healthyDevices()
-	if len(healthy) == 0 {
-		f.rec.exhausted()
-		return nil, ErrNoHealthyDevices
-	}
-	n := len(healthy)
-	boundary := func(si int) int {
-		if si >= n {
-			return len(reads)
-		}
-		b := len(reads) * si / n
-		if memOpts.Paired {
-			b &^= 1
-		}
-		return b
-	}
 	out := &MemRunResult{Results: make([]core.MemResult, len(reads))}
-	agg := Profile{Setup: f.kernels[0].dev.cfg.SetupTime}
-	var maxKernel, maxReconfig time.Duration
-	var maxCycles uint64
-	var events []Event
-	for si, di := range healthy {
-		lo, hi := boundary(si), boundary(si+1)
-		if lo == hi {
-			continue
-		}
-		shard := reads[lo:hi]
-		runOpts := MapRunOptions{
-			Context:         opts.Context,
-			Progress:        shardProgress(opts, lo, len(reads)),
-			ProgressEvery:   opts.ProgressEvery,
-			IndexResident:   opts.IndexResident,
-			memReconfigured: opts.memReconfigured,
-		}
-		run, backoff, winner, err := execShard(f, opts.Context, di, healthy, func(k *Kernel) (*MemRunResult, error) {
-			r, err := k.MapReadsMemOpts(shard, memOpts, runOpts)
+	profile, err := stripe(f, reads, memOpts.Paired, opts,
+		func(k *Kernel, shard []dna.Seq, opts MapRunOptions) (*MemRunResult, error) {
+			r, err := k.MapReadsMemOpts(shard, memOpts, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -318,44 +285,25 @@ func (f *Farm) MapReadsMemOpts(reads []dna.Seq, memOpts core.MemOptions, opts Ma
 				}
 			}
 			return r, nil
+		},
+		func(lo int, r *MemRunResult) {
+			copy(out.Results[lo:], r.Results)
+			// The per-pass split aggregates like KernelTime: shards run in
+			// parallel across cards, so the slowest shard's pass bounds the
+			// batch.
+			out.SeedCycles = max(out.SeedCycles, r.SeedCycles)
+			out.ExtendCycles = max(out.ExtendCycles, r.ExtendCycles)
+			out.SeedTime = max(out.SeedTime, r.SeedTime)
+			out.ExtendTime = max(out.ExtendTime, r.ExtendTime)
 		})
-		if err != nil {
-			return nil, err
-		}
-		f.observeRun(run.Profile, backoff)
-		events = append(events, tagEvents(run.Profile.Events, winner.Device, winner.Attempt, si)...)
-		copy(out.Results[lo:hi], run.Results)
-		agg.IndexTransfer += run.Profile.IndexTransfer
-		agg.QueryTransfer += run.Profile.QueryTransfer
-		agg.ResultTransfer += run.Profile.ResultTransfer
-		agg.RetryBackoff += backoff
-		if run.Profile.Reconfig > maxReconfig {
-			maxReconfig = run.Profile.Reconfig
-		}
-		if run.Profile.KernelTime > maxKernel {
-			maxKernel = run.Profile.KernelTime
-		}
-		if run.Profile.KernelCycles > maxCycles {
-			maxCycles = run.Profile.KernelCycles
-		}
-		// The per-pass split aggregates like KernelTime: shards run in
-		// parallel across cards, so the slowest shard's pass bounds the batch.
-		out.SeedCycles = max(out.SeedCycles, run.SeedCycles)
-		out.ExtendCycles = max(out.ExtendCycles, run.ExtendCycles)
-		out.SeedTime = max(out.SeedTime, run.SeedTime)
-		out.ExtendTime = max(out.ExtendTime, run.ExtendTime)
+	if err != nil {
+		return nil, err
 	}
-	agg.KernelTime = maxKernel
-	agg.KernelCycles = maxCycles
-	agg.Reconfig = maxReconfig
-	sortEvents(events)
-	agg.Events = events
-	agg.HostWallTime = time.Since(wallStart)
-	out.Profile = agg
+	out.Profile = profile
 	out.Checksum = ChecksumMemResults(out.Results)
 	for _, r := range out.Results {
 		out.Stats.Add(r)
 	}
-	out.Stats.Elapsed = agg.HostWallTime
+	out.Stats.Elapsed = profile.HostWallTime
 	return out, nil
 }

@@ -3,8 +3,12 @@ package fpga
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
+
+	"bwaver/internal/core"
+	"bwaver/internal/dna"
 )
 
 func TestRetryPolicyDelay(t *testing.T) {
@@ -77,65 +81,210 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
+// shardOutcome is what one striped method returns, reduced to what the
+// dead-device table compares: the results, the profile, and the mem pass
+// split (seed/extend cycles and times; zero for the other methods).
+type shardOutcome struct {
+	results any
+	profile Profile
+	split   [4]uint64
+}
+
+// TestFarmRedistributesAroundDeadDevice runs each striped farm method on
+// three cards, one of them persistently dead. The dead card's shard must
+// move to a healthy card, the results must equal one healthy kernel's, and
+// the aggregate profile must follow the farm's rules over the shards: setup
+// once, transfers and backoff summed, kernel time, cycles, reconfiguration
+// and the mem pass split as the slowest shard's, overlap and wave cycles not
+// aggregated — with paired mem shards starting on even read indexes.
 func TestFarmRedistributesAroundDeadDevice(t *testing.T) {
 	ix := buildIndex(t, 8000)
 	reads := simReads(t, ix, 300, 35, 0.7)
-	plan, err := ParseFaultPlan("seed=5,persistent=0:kernel")
-	if err != nil {
-		t.Fatal(err)
+	// 130 reads over 3 cards: the naive boundary 43 would split a pair.
+	memIx, pairs := memBatch(t, 20000, 65)
+	memOpts := core.MemOptions{Paired: true, MinInsert: 100, MaxInsert: 500}
+	memOutcome := func(r *MemRunResult) shardOutcome {
+		return shardOutcome{r.Results, r.Profile,
+			[4]uint64{r.SeedCycles, r.ExtendCycles, uint64(r.SeedTime), uint64(r.ExtendTime)}}
 	}
-	devices := make([]*Device, 2)
-	for i := range devices {
-		devices[i], _ = NewDevice(Config{})
-		devices[i].EnableFaults(plan, i)
-	}
-	rec := NewStatsRecorder()
-	farm, err := NewFarmOpts(devices, ix, FarmOptions{
-		Retry:            RetryPolicy{MaxAttempts: 3},
-		BreakerThreshold: 3,
-		Recorder:         rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		ix     *core.Index
+		reads  []dna.Seq
+		paired bool
+		kernel func(*Kernel, []dna.Seq) (shardOutcome, error)
+		farm   func(*Farm, []dna.Seq) (shardOutcome, error)
+	}{
+		{
+			name: "exact", ix: ix, reads: reads,
+			kernel: func(k *Kernel, rs []dna.Seq) (shardOutcome, error) {
+				r, err := k.MapReads(rs)
+				if err != nil {
+					return shardOutcome{}, err
+				}
+				return shardOutcome{results: r.Results, profile: r.Profile}, nil
+			},
+			farm: func(f *Farm, rs []dna.Seq) (shardOutcome, error) {
+				r, err := f.MapReads(rs)
+				if err != nil {
+					return shardOutcome{}, err
+				}
+				return shardOutcome{results: r.Results, profile: r.Profile}, nil
+			},
+		},
+		{
+			name: "two-pass", ix: ix, reads: reads,
+			kernel: func(k *Kernel, rs []dna.Seq) (shardOutcome, error) {
+				r, err := k.MapReadsTwoPass(rs, 1)
+				if err != nil {
+					return shardOutcome{}, err
+				}
+				return shardOutcome{results: []any{r.Exact, r.Approx, r.Rescued}, profile: r.Profile}, nil
+			},
+			farm: func(f *Farm, rs []dna.Seq) (shardOutcome, error) {
+				r, err := f.MapReadsTwoPassOpts(rs, 1, MapRunOptions{})
+				if err != nil {
+					return shardOutcome{}, err
+				}
+				return shardOutcome{results: []any{r.Exact, r.Approx, r.Rescued}, profile: r.Profile}, nil
+			},
+		},
+		{
+			name: "mem-pe", ix: memIx, reads: pairs, paired: true,
+			kernel: func(k *Kernel, rs []dna.Seq) (shardOutcome, error) {
+				r, err := k.MapReadsMem(rs, memOpts)
+				if err != nil {
+					return shardOutcome{}, err
+				}
+				return memOutcome(r), nil
+			},
+			farm: func(f *Farm, rs []dna.Seq) (shardOutcome, error) {
+				r, err := f.MapReadsMem(rs, memOpts)
+				if err != nil {
+					return shardOutcome{}, err
+				}
+				return memOutcome(r), nil
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// DoubleBuffer gives every shard an Overlap the aggregate must
+			// not carry.
+			cfg := Config{DoubleBuffer: true}
+			healthy, _ := NewDevice(cfg)
+			k, err := healthy.Program(tc.ix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tc.kernel(k, tc.reads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The aggregate the farm must report, built from the same three
+			// shards run one by one on the healthy card.
+			wantProfile := Profile{Setup: DefaultSetupTime}
+			var wantSplit [4]uint64
+			const cards = 3
+			for si := 0; si < cards; si++ {
+				lo, hi := len(tc.reads)*si/cards, len(tc.reads)*(si+1)/cards
+				if tc.paired {
+					lo &^= 1
+					if si+1 < cards {
+						hi &^= 1
+					}
+				}
+				shard, err := tc.kernel(k, tc.reads[lo:hi])
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := shard.profile
+				if p.Overlap == 0 {
+					t.Fatalf("shard %d has no overlap to leave unaggregated", si)
+				}
+				wantProfile.IndexTransfer += p.IndexTransfer
+				wantProfile.QueryTransfer += p.QueryTransfer
+				wantProfile.ResultTransfer += p.ResultTransfer
+				wantProfile.KernelTime = max(wantProfile.KernelTime, p.KernelTime)
+				wantProfile.KernelCycles = max(wantProfile.KernelCycles, p.KernelCycles)
+				wantProfile.Reconfig = max(wantProfile.Reconfig, p.Reconfig)
+				for i, v := range shard.split {
+					wantSplit[i] = max(wantSplit[i], v)
+				}
+			}
 
-	run, err := farm.MapReads(reads)
-	if err != nil {
-		t.Fatalf("farm with one healthy device failed: %v", err)
-	}
-	for i, read := range reads {
-		want := ix.MapRead(read)
-		if run.Results[i].Forward != want.Forward || run.Results[i].Reverse != want.Reverse {
-			t.Fatalf("read %d diverges from CPU after redistribution", i)
-		}
-	}
-	if run.Profile.RetryBackoff <= 0 {
-		t.Error("no modeled retry backoff charged")
-	}
+			plan, err := ParseFaultPlan("seed=5,persistent=0:kernel")
+			if err != nil {
+				t.Fatal(err)
+			}
+			devices := make([]*Device, cards)
+			for i := range devices {
+				devices[i], _ = NewDevice(cfg)
+				devices[i].EnableFaults(plan, i)
+			}
+			farm, err := NewFarmOpts(devices, tc.ix, FarmOptions{
+				Retry:            RetryPolicy{MaxAttempts: 3},
+				BreakerThreshold: 3,
+				Recorder:         NewStatsRecorder(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tc.farm(farm, tc.reads)
+			if err != nil {
+				t.Fatalf("farm with two healthy devices failed: %v", err)
+			}
+			if !reflect.DeepEqual(got.results, want.results) {
+				t.Fatal("farm results diverge from a single healthy kernel's after redistribution")
+			}
+			p := got.profile
+			if p.RetryBackoff <= 0 {
+				t.Error("no modeled retry backoff charged")
+			}
+			if p.HostWallTime <= 0 || len(p.Events) == 0 {
+				t.Errorf("aggregate lacks wall time or events: %v, %d events", p.HostWallTime, len(p.Events))
+			}
+			for _, e := range p.Events {
+				if e.Device == 0 {
+					t.Fatalf("event %q credited to the dead device", e.Name)
+				}
+			}
+			p.RetryBackoff, p.HostWallTime, p.Events = 0, 0, nil
+			if !reflect.DeepEqual(p, wantProfile) {
+				t.Errorf("aggregate profile\n%+v\nwant\n%+v", p, wantProfile)
+			}
+			if got.split != wantSplit {
+				t.Errorf("mem pass split %v, want %v", got.split, wantSplit)
+			}
 
-	stats := farm.Stats()
-	if stats.Faults["kernel"] == 0 || stats.Retries == 0 || stats.Redistributed == 0 {
-		t.Errorf("stats = %+v, want kernel faults, retries, and redistribution", stats)
-	}
-	// Three consecutive failures at threshold 3: device 0's breaker is open.
-	if devices[0].Breaker().State() != BreakerOpen {
-		t.Errorf("device 0 breaker %v, want open", devices[0].Breaker().State())
-	}
-	if devices[1].Breaker().State() != BreakerClosed {
-		t.Errorf("device 1 breaker %v, want closed", devices[1].Breaker().State())
-	}
+			stats := farm.Stats()
+			if stats.Faults["kernel"] == 0 || stats.Retries == 0 || stats.Redistributed == 0 {
+				t.Errorf("stats = %+v, want kernel faults, retries, and redistribution", stats)
+			}
+			// Three consecutive failures at threshold 3: device 0's breaker
+			// is open.
+			if devices[0].Breaker().State() != BreakerOpen {
+				t.Errorf("device 0 breaker %v, want open", devices[0].Breaker().State())
+			}
+			for i := 1; i < cards; i++ {
+				if devices[i].Breaker().State() != BreakerClosed {
+					t.Errorf("device %d breaker %v, want closed", i, devices[i].Breaker().State())
+				}
+			}
 
-	// The next run skips the broken card entirely: no new kernel faults.
-	before := farm.Stats().Faults["kernel"]
-	if _, err := farm.MapReads(reads[:50]); err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	if after := farm.Stats().Faults["kernel"]; after != before {
-		t.Errorf("broken device still took work: faults %d -> %d", before, after)
-	}
-	health := farm.DeviceHealth()
-	if len(health) != 2 || health[0].Breaker != "open" || health[0].BreakerTrips == 0 {
-		t.Errorf("health = %+v", health)
+			// The next run skips the broken card entirely: no new kernel
+			// faults.
+			before := stats.Faults["kernel"]
+			if _, err := tc.farm(farm, tc.reads[:50]); err != nil {
+				t.Fatalf("second run: %v", err)
+			}
+			if after := farm.Stats().Faults["kernel"]; after != before {
+				t.Errorf("broken device still took work: faults %d -> %d", before, after)
+			}
+			health := farm.DeviceHealth()
+			if len(health) != cards || health[0].Breaker != "open" || health[0].BreakerTrips == 0 {
+				t.Errorf("health = %+v", health)
+			}
+		})
 	}
 }
 

@@ -386,7 +386,10 @@ func TestJobTTLEviction(t *testing.T) {
 	}
 }
 
-// Read IDs are user input: tabs and newlines must not corrupt the TSV.
+// Read IDs are user input: tabs and newlines must not corrupt the TSV, and
+// the NDJSON row must carry the same sanitized ID on one line. Both modes
+// run through the job's batch loop, so the rows checked are the ones the
+// server writes.
 func TestTSVEscapesReadIDs(t *testing.T) {
 	if got := sanitizeID("a\tb\nc\rd"); got != "a b c d" {
 		t.Fatalf("sanitizeID = %q", got)
@@ -394,17 +397,6 @@ func TestTSVEscapesReadIDs(t *testing.T) {
 
 	ids := []string{"evil\tid\nsecond-line"}
 	reads := []dna.Seq{dna.MustParseSeq("ACGT")}
-	var buf bytes.Buffer
-	writeResultsTSV(&buf, nil, ids, reads, []core.MapResult{{}})
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("TSV has %d lines, want header + 1 row:\n%s", len(lines), buf.String())
-	}
-	if fields := strings.Split(lines[1], "\t"); len(fields) != 6 {
-		t.Fatalf("row has %d fields, want 6: %q", len(fields), lines[1])
-	}
-
-	// The approx writer shares the helper: same guarantee end to end.
 	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 3000, Seed: 44})
 	if err != nil {
 		t.Fatal(err)
@@ -416,24 +408,62 @@ func TestTSVEscapesReadIDs(t *testing.T) {
 	entry := &cacheEntry{ix: ix, ready: make(chan struct{})}
 	close(entry.ready)
 	s := New()
-	job := s.createJob("cpu", 15, 50, 1, "x", len(ref), 1)
-	em, err := s.newEmitter(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.runApprox(context.Background(), job, entry, reads, ids, em); err != nil {
-		t.Fatal(err)
-	}
-	if err := em.finish(); err != nil {
-		t.Fatal(err)
-	}
-	atsv := string(job.results)
-	alines := strings.Split(strings.TrimRight(atsv, "\n"), "\n")
-	if len(alines) != 2 {
-		t.Fatalf("approx TSV has %d lines, want 2:\n%s", len(alines), atsv)
-	}
-	if fields := strings.Split(alines[1], "\t"); len(fields) != 4 {
-		t.Fatalf("approx row has %d fields, want 4: %q", len(fields), alines[1])
+	for _, tc := range []struct {
+		name       string
+		mismatches int
+		fields     int
+	}{
+		{"exact", 0, 6},
+		{"approx", 1, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			job := s.createJob("cpu", 15, 50, tc.mismatches, "x", len(ref), 1)
+			em, err := s.newEmitter(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jr := jobReads{ix: ix, reads: reads, ids: ids, em: em}
+			var m batchMapper = &exactBatches{jobReads: jr}
+			if tc.mismatches > 0 {
+				m = &approxBatches{jobReads: jr, mismatches: tc.mismatches}
+			}
+			if _, err := s.mapJob(context.Background(), job, entry, len(reads), m); err != nil {
+				t.Fatal(err)
+			}
+			if err := em.finish(); err != nil {
+				t.Fatal(err)
+			}
+			tsv := string(job.results)
+			lines := strings.Split(strings.TrimRight(tsv, "\n"), "\n")
+			if len(lines) != 2 {
+				t.Fatalf("TSV has %d lines, want header + 1 row:\n%s", len(lines), tsv)
+			}
+			fields := strings.Split(lines[1], "\t")
+			if len(fields) != tc.fields {
+				t.Fatalf("row has %d fields, want %d: %q", len(fields), tc.fields, lines[1])
+			}
+			if fields[0] != "evil id second-line" {
+				t.Errorf("TSV read ID %q, want the sanitized ID", fields[0])
+			}
+
+			nd, err := job.stream.readCommitted(0, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := strings.Split(strings.TrimRight(string(nd), "\n"), "\n")
+			if len(rows) != 1 {
+				t.Fatalf("NDJSON has %d lines, want 1:\n%s", len(rows), nd)
+			}
+			var row struct {
+				Read string `json:"read"`
+			}
+			if err := json.Unmarshal([]byte(rows[0]), &row); err != nil {
+				t.Fatalf("bad NDJSON row %q: %v", rows[0], err)
+			}
+			if row.Read != fields[0] {
+				t.Errorf("NDJSON read ID %q, TSV has %q", row.Read, fields[0])
+			}
+		})
 	}
 }
 

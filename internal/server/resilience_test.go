@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bwaver/internal/fpga"
+	"bwaver/internal/obs"
 )
 
 // fetchTSV downloads a finished job's results.
@@ -253,6 +254,109 @@ func TestFallbackTwoPass(t *testing.T) {
 	s.Wait()
 	if got, want := fetchTSV(t, ts, loc), fetchTSV(t, ts, cpuLoc); !bytes.Equal(got, want) {
 		t.Fatalf("two-pass fallback TSV differs from CPU TSV")
+	}
+}
+
+// fetchNDJSON reads a finished job's whole result stream as NDJSON lines,
+// the terminal summary line last.
+func fetchNDJSON(t *testing.T, ts *httptest.Server, id int) []string {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/api/jobs/"+itoa(id)+"/stream?from=0", nil)
+	req.Header.Set("Accept", "application/x-ndjson")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return strings.Split(strings.TrimRight(string(body), "\n"), "\n")
+}
+
+// TestFallbackMidJob: a device that dies after the job's first batches hands
+// the rest of the job to the CPU. Every mode keeps the FPGA batches it
+// already emitted, reruns from the failing batch, and ends byte-identical to
+// a CPU job — results file and stream rows alike — with one fallback
+// recorded and the modeled device timeline of the FPGA batches in the trace.
+func TestFallbackMidJob(t *testing.T) {
+	refFasta, readsFastq, _ := testData(t)
+	memRef, memReads, _ := memTestData(t)
+	for _, tc := range []struct {
+		name   string
+		fields map[string]string
+		ref    []byte
+		reads  []byte
+	}{
+		{"exact", map[string]string{}, refFasta, readsFastq},
+		{"approx", map[string]string{"mismatches": "1"}, refFasta, readsFastq},
+		{"mem-pe", map[string]string{"mode": "mem-pe"}, memRef, memReads},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// With retries off, this seed's first kernel fault lands after
+			// the first batches in every mode (asserted below via the trace).
+			plan, err := fpga.ParseFaultPlan("seed=3,kernel=0.3")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewWithConfig(Config{Devices: 1, FaultPlan: plan, MaxRetries: -1, StreamBatch: 7})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			submit := func(backend string) jobJSON {
+				fields := map[string]string{"backend": backend}
+				for k, v := range tc.fields {
+					fields[k] = v
+				}
+				loc := submitJob(t, s, ts, fields, map[string][]byte{"reference": tc.ref, "reads": tc.reads})
+				s.Wait()
+				return fetchJobJSON(t, ts, loc)
+			}
+			fpgaJob, cpuJob := submit("fpga"), submit("cpu")
+			if fpgaJob.State != "done" || !fpgaJob.Fallback {
+				t.Fatalf("fpga job = %+v, want done via fallback", fpgaJob)
+			}
+			if fpgaJob.Done != fpgaJob.Reads || fpgaJob.Reads == 0 {
+				t.Errorf("fpga job reported %d/%d done", fpgaJob.Done, fpgaJob.Reads)
+			}
+			if got := fetchStats(t, ts).Resilience.Fallbacks; got != 1 {
+				t.Errorf("fallbacks = %d, want 1", got)
+			}
+			if got, want := fetchResults(t, ts, fpgaJob.ID), fetchResults(t, ts, cpuJob.ID); !bytes.Equal(got, want) {
+				t.Fatalf("mid-job fallback results differ from the CPU job's:\n%s\n---\n%s", got, want)
+			}
+			got, want := fetchNDJSON(t, ts, fpgaJob.ID), fetchNDJSON(t, ts, cpuJob.ID)
+			if len(got) != fpgaJob.Reads+1 || len(want) != len(got) {
+				t.Fatalf("stream lines: fpga %d, cpu %d, want %d rows + summary", len(got), len(want), fpgaJob.Reads)
+			}
+			for i := range got[:len(got)-1] {
+				if got[i] != want[i] {
+					t.Fatalf("stream row %d differs:\n%s\n---\n%s", i+1, got[i], want[i])
+				}
+			}
+
+			// The FPGA batches before the failure left their modeled device
+			// events on the map span, next to the fallback attribute.
+			tr := fetchTrace(t, ts, fpgaJob.ID, http.StatusOK)
+			var mapSpan *obs.SpanJSON
+			for i, c := range tr.Spans[0].Children {
+				if c.Name == "map" {
+					mapSpan = &tr.Spans[0].Children[i]
+				}
+			}
+			if mapSpan == nil {
+				t.Fatal("trace has no map span")
+			}
+			if reason, _ := mapSpan.Attrs["fallback"].(string); reason == "" {
+				t.Errorf("map span attrs %v, want a fallback reason", mapSpan.Attrs)
+			}
+			modeled := 0
+			for _, c := range mapSpan.Children {
+				if c.Modeled {
+					modeled++
+				}
+			}
+			if modeled == 0 {
+				t.Error("no modeled device events: the device failed before any FPGA batch was emitted")
+			}
+		})
 	}
 }
 

@@ -41,7 +41,6 @@ import (
 	"bwaver/internal/qc"
 	"bwaver/internal/readsim"
 	"bwaver/internal/rrr"
-	"bwaver/internal/sam"
 )
 
 // JobState tracks a pipeline run.
@@ -1529,15 +1528,19 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 			return err
 		}
 	}
-	var mapped int
-	var mapTime time.Duration
+	jr := jobReads{ix: entry.ix, reads: reads, ids: ids, em: em}
+	var m batchMapper
 	switch {
 	case job.memMode():
-		mapped, mapTime, err = s.runMem(mapCtx, job, entry, reads, ids, em)
+		m, err = newMemBatches(s, job, jr)
 	case job.Mismatches > 0:
-		mapped, mapTime, err = s.runApprox(mapCtx, job, entry, reads, ids, em)
+		m = &approxBatches{jobReads: jr, mismatches: job.Mismatches}
 	default:
-		mapped, mapTime, err = s.runExact(mapCtx, job, entry, reads, ids, em)
+		m = &exactBatches{jobReads: jr}
+	}
+	var mapTime time.Duration
+	if err == nil {
+		mapTime, err = s.mapJob(mapCtx, job, entry, len(reads), m)
 	}
 	mapSpan.SetAttr("reads", len(reads))
 	mapSpan.End()
@@ -1553,7 +1556,7 @@ func (s *Server) runJob(ctx context.Context, job *Job, in jobInput) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	job.MapTime = mapTime
-	job.Mapped = mapped
+	job.Mapped = em.mapped
 	return nil
 }
 
@@ -1594,303 +1597,6 @@ func (s *Server) noteFallback(job *Job, cause error) {
 	s.mu.Unlock()
 }
 
-// runExact is pipeline step 3 for exact matching on either backend, run in
-// StreamBatch-sized slices so results are emitted (TSV + NDJSON stream) as
-// each batch completes instead of accumulating for the whole job. When the
-// FPGA farm fails with a device error and the fallback policy is "cpu", the
-// remaining reads rerun on the CPU baseline — same results (the backends are
-// bit-identical by construction), honest CPU timing; batches already emitted
-// by the FPGA stand.
-func (s *Server) runExact(ctx context.Context, job *Job, entry *cacheEntry, reads []dna.Seq, ids []string, em *jobEmitter) (int, time.Duration, error) {
-	ix := entry.ix
-	contigs := ix.Contigs()
-	batch := s.cfg.StreamBatch
-	if batch <= 0 {
-		batch = DefaultStreamBatch
-	}
-	cpuFrom := func(off int, elapsed time.Duration) (int, time.Duration, error) {
-		stats, err := ix.MapBatches(reads[off:], batch, core.MapOptions{
-			Context: ctx, Locate: true, Workers: -1,
-			Progress: func(done, total int) { s.setJobProgress(job, off+done) },
-		}, func(start int, results []core.MapResult) error {
-			return em.exactBatch(off+start, ids, reads, results, contigs)
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		return em.mapped, elapsed + stats.Elapsed, nil
-	}
-	if job.Backend != "fpga" {
-		return cpuFrom(0, 0)
-	}
-	var mapTime time.Duration
-	for off := 0; off < len(reads); off += batch {
-		end := min(off+batch, len(reads))
-		chunk := reads[off:end]
-		progress := func(done, total int) { s.setJobProgress(job, off+done) }
-		run, ferr := func() (*fpga.RunResult, error) {
-			// farmFor is cheap after the first batch: the cached farm reports
-			// the index already resident on the devices.
-			farm, resident, err := entry.farmFor(s.devices, s.farmOptions())
-			if err != nil {
-				return nil, err
-			}
-			run, err := farm.MapReadsOpts(chunk, fpga.MapRunOptions{
-				Context: ctx, Progress: progress, IndexResident: resident,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if _, err := farm.LocateResults(run.Results); err != nil {
-				return nil, err
-			}
-			return run, nil
-		}()
-		switch {
-		case ferr == nil:
-			mapTime += run.Profile.Total()
-			addModeledEvents(obs.SpanFrom(ctx), run.Profile.Events)
-			if err := em.exactBatch(off, ids, reads, run.Results, contigs); err != nil {
-				return 0, 0, err
-			}
-		case s.shouldFallback(ctx, ferr):
-			s.noteFallback(job, ferr)
-			obs.SpanFrom(ctx).SetAttr("fallback", ferr.Error())
-			return cpuFrom(off, mapTime)
-		default:
-			return 0, 0, ferr
-		}
-	}
-	return em.mapped, mapTime, nil
-}
-
-// runApprox is step 3 with a mismatch budget, batched like runExact: the
-// two-pass reconfigurable flow on the FPGA model, the branching search on the
-// CPU.
-func (s *Server) runApprox(ctx context.Context, job *Job, entry *cacheEntry, reads []dna.Seq, ids []string, em *jobEmitter) (int, time.Duration, error) {
-	ix := entry.ix
-	batch := s.cfg.StreamBatch
-	if batch <= 0 {
-		batch = DefaultStreamBatch
-	}
-	cpuFrom := func(off int, elapsed time.Duration) (int, time.Duration, error) {
-		start := time.Now()
-		for o := off; o < len(reads); o += batch {
-			end := min(o+batch, len(reads))
-			chunk := reads[o:end]
-			results, err := ix.MapReadsApprox(chunk, job.Mismatches, core.MapOptions{
-				Context: ctx, Workers: -1,
-				Progress: func(done, total int) { s.setJobProgress(job, o+done) },
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-			rows := make([]approxRow, len(results))
-			for i, res := range results {
-				rows[i] = approxRow{
-					Read: sanitizeID(ids[o+i]), Mapped: res.Mapped(),
-					BestMismatches: res.BestMismatches(), Occurrences: res.Occurrences(),
-				}
-			}
-			if err := em.approxBatch(o, ids, rows); err != nil {
-				return 0, 0, err
-			}
-		}
-		return em.mapped, elapsed + time.Since(start), nil
-	}
-	if job.Backend != "fpga" {
-		return cpuFrom(0, 0)
-	}
-	var mapTime time.Duration
-	for off := 0; off < len(reads); off += batch {
-		end := min(off+batch, len(reads))
-		chunk := reads[off:end]
-		progress := func(done, total int) { s.setJobProgress(job, off+done) }
-		run, ferr := func() (*fpga.TwoPassResult, error) {
-			farm, resident, err := entry.farmFor(s.devices, s.farmOptions())
-			if err != nil {
-				return nil, err
-			}
-			return farm.MapReadsTwoPassOpts(chunk, job.Mismatches, fpga.MapRunOptions{
-				Context: ctx, Progress: progress, IndexResident: resident,
-			})
-		}()
-		switch {
-		case ferr == nil:
-			mapTime += run.Profile.Total()
-			addModeledEvents(obs.SpanFrom(ctx), run.Profile.Events)
-			rows := make([]approxRow, len(chunk))
-			for i := range chunk {
-				if exact := run.Exact[i]; exact.Mapped() {
-					rows[i] = approxRow{Read: sanitizeID(ids[off+i]), Mapped: true, Occurrences: exact.Occurrences()}
-					continue
-				}
-				res := run.Approx[i]
-				rows[i] = approxRow{
-					Read: sanitizeID(ids[off+i]), Mapped: res.Mapped(),
-					BestMismatches: res.BestMismatches(), Occurrences: res.Occurrences(),
-				}
-			}
-			if err := em.approxBatch(off, ids, rows); err != nil {
-				return 0, 0, err
-			}
-		case s.shouldFallback(ctx, ferr):
-			s.noteFallback(job, ferr)
-			obs.SpanFrom(ctx).SetAttr("fallback", ferr.Error())
-			return cpuFrom(off, mapTime)
-		default:
-			return 0, 0, ferr
-		}
-	}
-	return em.mapped, mapTime, nil
-}
-
-// runMem is step 3 for mode=mem jobs: the seed-and-extend pipeline (SMEM
-// seeding, collinear chaining, banded extension, MAPQ) on either backend,
-// streamed as SAM text — the job's results file is a valid SAM file — plus
-// one NDJSON row per read. On the FPGA the farm runs the two-pass
-// reconfigurable flow (seeding pass on the FM pipelines, reconfiguration,
-// extension pass on the systolic array) with pair-aligned shard boundaries;
-// the CPU fallback reruns the identical pipeline, so batches already emitted
-// by the FPGA stand — the backends are bit-identical by construction.
-func (s *Server) runMem(ctx context.Context, job *Job, entry *cacheEntry, reads []dna.Seq, ids []string, em *jobEmitter) (int, time.Duration, error) {
-	ix := entry.ix
-	memOpts := core.MemOptions{Paired: job.Mode == ModeMemPE}
-	batch := s.cfg.StreamBatch
-	if batch <= 0 {
-		batch = DefaultStreamBatch
-	}
-	if memOpts.Paired && batch%2 == 1 {
-		// Pair-aligned batches: a mate pair split across batches would lose
-		// its rescue and proper-pair context.
-		batch++
-	}
-	// One SAM writer spans the whole job, so the header lands in the first
-	// batch and every later batch drains as bare records.
-	var samBuf bytes.Buffer
-	sw, err := sam.NewWriter(&samBuf, ix.SAMRefSeqs())
-	if err != nil {
-		return 0, 0, err
-	}
-	var total core.MemStats
-	var reconfigs uint64
-	defer func() {
-		s.mu.Lock()
-		s.memStats.Merge(total)
-		s.memReconfigs += reconfigs
-		s.mu.Unlock()
-	}()
-	emit := func(off int, results []core.MemResult) error {
-		rows := make([]memRow, 0, len(results))
-		write := func(rec sam.Record, res core.MemResult) error {
-			if err := sw.Write(rec); err != nil {
-				return err
-			}
-			rows = append(rows, memRowFrom(rec, res))
-			return nil
-		}
-		for i := 0; i < len(results); {
-			g := off + i
-			if memOpts.Paired && i+1 < len(results) {
-				pr := core.MemPairFromResults(results[i], results[i+1], memOpts)
-				rec1, rec2 := ix.MemPairRecords(samQName(ids[g], g), samQName(ids[g+1], g+1),
-					reads[g], reads[g+1], pr)
-				if err := write(rec1, results[i]); err != nil {
-					return err
-				}
-				if err := write(rec2, results[i+1]); err != nil {
-					return err
-				}
-				i += 2
-				continue
-			}
-			if err := write(ix.MemRecord(samQName(ids[g], g), reads[g], results[i]), results[i]); err != nil {
-				return err
-			}
-			i++
-		}
-		if err := sw.Flush(); err != nil {
-			return err
-		}
-		if err := em.memBatch(samBuf.Bytes(), rows); err != nil {
-			return err
-		}
-		samBuf.Reset()
-		return nil
-	}
-	cpuFrom := func(off int, elapsed time.Duration) (int, time.Duration, error) {
-		start := time.Now()
-		// One result buffer serves every batch: with the zero-allocation
-		// batch engine writing into it, the steady-state loop allocates only
-		// what SAM rendering needs.
-		results := make([]core.MemResult, 0, batch)
-		for o := off; o < len(reads); o += batch {
-			end := min(o+batch, len(reads))
-			results = results[:end-o]
-			stats, err := ix.MapReadsMemInto(results, reads[o:end], memOpts, core.MapOptions{Context: ctx})
-			if err != nil {
-				return 0, 0, err
-			}
-			total.Merge(stats)
-			if err := emit(o, results); err != nil {
-				return 0, 0, err
-			}
-			s.setJobProgress(job, end)
-			if err := ctx.Err(); err != nil {
-				return 0, 0, err
-			}
-		}
-		return em.mapped, elapsed + time.Since(start), nil
-	}
-	if job.Backend != "fpga" {
-		return cpuFrom(0, 0)
-	}
-	// The whole job runs as one two-pass session: the first batch pays the
-	// single fabric reconfiguration, later batches keep the alignment array
-	// programmed and overlap host seeding with modeled device extension.
-	var session *fpga.MemSession
-	var mapTime time.Duration
-	progressBase := 0 // start of the batch the session is currently mapping
-	for off := 0; off < len(reads); off += batch {
-		end := min(off+batch, len(reads))
-		chunk := reads[off:end]
-		progressBase = off
-		run, ferr := func() (*fpga.MemRunResult, error) {
-			farm, resident, err := entry.farmFor(s.devices, s.farmOptions())
-			if err != nil {
-				return nil, err
-			}
-			if session == nil {
-				session = farm.NewMemSession(memOpts, fpga.MapRunOptions{
-					Context:       ctx,
-					Progress:      func(done, total int) { s.setJobProgress(job, progressBase+done) },
-					IndexResident: resident,
-				})
-			}
-			return session.Map(chunk)
-		}()
-		switch {
-		case ferr == nil:
-			mapTime += run.Profile.Total()
-			if run.Profile.Reconfig > 0 {
-				reconfigs++
-			}
-			addModeledEvents(obs.SpanFrom(ctx), run.Profile.Events)
-			total.Merge(run.Stats)
-			if err := emit(off, run.Results); err != nil {
-				return 0, 0, err
-			}
-		case s.shouldFallback(ctx, ferr):
-			s.noteFallback(job, ferr)
-			obs.SpanFrom(ctx).SetAttr("fallback", ferr.Error())
-			return cpuFrom(off, mapTime)
-		default:
-			return 0, 0, ferr
-		}
-	}
-	return em.mapped, mapTime, nil
-}
-
 // samQName makes a read ID usable as a SAM QNAME: the writer rejects
 // whitespace, and an anonymous read still needs a name.
 func samQName(id string, i int) string {
@@ -1913,25 +1619,6 @@ var idSanitizer = strings.NewReplacer("\t", " ", "\n", " ", "\r", " ")
 
 // sanitizeID makes a read ID safe to embed in a TSV row.
 func sanitizeID(id string) string { return idSanitizer.Replace(id) }
-
-// writeResultsTSV emits one row per read: id, mapped flag, per-strand
-// occurrence counts and positions (contig-relative when the reference had
-// multiple records). It returns the mapped-read count.
-func writeResultsTSV(w io.Writer, contigs *core.ContigSet, ids []string, reads []dna.Seq, results []core.MapResult) int {
-	fmt.Fprintln(w, "read\tmapped\tfw_count\tfw_positions\trc_count\trc_positions")
-	mapped := 0
-	for i, res := range results {
-		if res.Mapped() {
-			mapped++
-		}
-		span := len(reads[i])
-		fmt.Fprintf(w, "%s\t%t\t%d\t%s\t%d\t%s\n",
-			sanitizeID(ids[i]), res.Mapped(),
-			res.Forward.Count(), joinPositions(contigs, res.ForwardPositions, span),
-			res.Reverse.Count(), joinPositions(contigs, res.ReversePositions, span))
-	}
-	return mapped
-}
 
 func joinPositions(contigs *core.ContigSet, ps []int32, span int) string {
 	if len(ps) == 0 {

@@ -452,7 +452,7 @@ func (em *jobEmitter) exactBatch(start int, ids []string, reads []dna.Seq, resul
 }
 
 // approxBatch emits one mismatch-budget batch.
-func (em *jobEmitter) approxBatch(start int, ids []string, rows []approxRow) error {
+func (em *jobEmitter) approxBatch(start int, rows []approxRow) error {
 	if start == 0 {
 		fmt.Fprintln(&em.scratchTSV, "read\tmapped\tbest_mismatches\toccurrences")
 	}
