@@ -81,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadIndex$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzSearchWithFtab$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
 	$(GO) test -run='^$$' -fuzz='^FuzzSMEMs$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
+	$(GO) test -run='^$$' -fuzz='^FuzzOccProviders$$' -fuzztime=$(FUZZTIME) ./internal/fmindex
 
 # fault-smoke runs the fault-injection and resilience tests, including the
 # end-to-end server scenarios, under the race detector.

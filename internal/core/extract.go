@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bwaver/internal/dna"
+	"bwaver/internal/fmindex"
 )
 
 // ExtractReference reconstructs the original reference sequence from the
@@ -12,8 +13,11 @@ import (
 // archive of the genome. The walk costs one Occ query per base
 // (O(n · levels · sf) on the succinct structure), which keeps `bwaver
 // extract` practical for chromosome-scale references.
-func (ix *Index) ExtractReference() (dna.Seq, error) {
-	fm := ix.fm
+func (ix *Index) ExtractReference() (dna.Seq, error) { return extractReference(ix.fm) }
+
+// extractReference is the LF walk over any FM-index of the reference: the
+// core index here, the seeding layout's forward direction in EnsureMem.
+func extractReference(fm *fmindex.Index) (dna.Seq, error) {
 	n := fm.Len()
 	out := make(dna.Seq, n)
 	row := 0 // row 0 is the sentinel suffix; its BWT symbol is the last base

@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"bwaver/internal/align"
+	"bwaver/internal/bwt"
 	"bwaver/internal/dna"
 	"bwaver/internal/fmindex"
+	"bwaver/internal/suffixarray"
 )
 
 // Seed-and-extend approximate mapping (the "mem" workload, after BWA-MEM):
@@ -221,9 +223,11 @@ func (s *MemStats) Add(r MemResult) {
 }
 
 // memState is the lazily-built seed-and-extend substrate: the bidirectional
-// index for SMEM seeding and the reference text for extension. The text is
-// reconstructed from the index itself (ExtractReference), so a cache-restored
-// index needs no access to the original FASTA.
+// index for SMEM seeding and the reference text for extension. Both
+// directions run on the checkpointed 2-bit Occ, the CPU-shaped layout; the
+// core index keeps the paper's RRR wavelet for exact mapping and the device.
+// The text is reconstructed from the index itself, so a cache-restored index
+// needs no access to the original FASTA.
 type memState struct {
 	bi  *fmindex.BiIndex
 	ref dna.Seq
@@ -237,20 +241,57 @@ func (ix *Index) EnsureMem() error {
 	if ix.mem != nil {
 		return nil
 	}
-	ref, err := ix.ExtractReference()
+	mem, err := ix.buildMem()
 	if err != nil {
 		return fmt.Errorf("core: mem state: %w", err)
+	}
+	ix.mem = mem
+	return nil
+}
+
+// buildMem derives the seeding substrate from the core index. The BWT is
+// decoded once from the wavelet tree and re-encoded as the forward
+// direction's checkpoint Occ, which borrows the core index's suffix array
+// (full or sampled) for locate. The reference is LF-walked out of that
+// forward direction, and only the reverse direction is built from text. A
+// count-only core index lends no locate structure, so the forward direction
+// then builds its own suffix array.
+func (ix *Index) buildMem() (*memState, error) {
+	wocc, ok := ix.fm.OccProvider().(*fmindex.WaveletOcc)
+	if !ok {
+		return nil, fmt.Errorf("cannot decode the BWT from occ provider %s", ix.fm.OccName())
+	}
+	tr := &bwt.BWT{Data: wocc.Tree.Decode(), Primary: ix.fm.Primary()}
+	occ, err := fmindex.NewCheckpointOcc(tr.Data)
+	if err != nil {
+		return nil, err
+	}
+	fwd, err := fmindex.New(tr, dna.AlphabetSize, occ, fmindex.Options{SA: ix.fm.SA(), Sampled: ix.fm.Sampled()})
+	if err != nil {
+		return nil, err
+	}
+	ref, err := extractReference(fwd)
+	if err != nil {
+		return nil, err
 	}
 	text := make([]uint8, len(ref))
 	for i, b := range ref {
 		text[i] = uint8(b)
 	}
-	bi, err := fmindex.NewBiIndex(text, dna.AlphabetSize, ix.config.RRR)
-	if err != nil {
-		return fmt.Errorf("core: mem state: %w", err)
+	if fwd.SA() == nil && fwd.Sampled() == nil {
+		sa, err := suffixarray.Build(text, dna.AlphabetSize)
+		if err != nil {
+			return nil, err
+		}
+		if fwd, err = fmindex.New(tr, dna.AlphabetSize, occ, fmindex.Options{SA: sa}); err != nil {
+			return nil, err
+		}
 	}
-	ix.mem = &memState{bi: bi, ref: ref}
-	return nil
+	bi, err := fmindex.NewBiIndexFromForward(fwd, text, ix.config.RRR)
+	if err != nil {
+		return nil, err
+	}
+	return &memState{bi: bi, ref: ref}, nil
 }
 
 // MemReady reports whether the seed-and-extend state is built.
@@ -260,15 +301,18 @@ func (ix *Index) MemReady() bool {
 	return ix.mem != nil
 }
 
-// MemBytes returns the footprint of the seed-and-extend state (both
-// directions' structures plus the retained text), 0 when not built.
+// MemBytes returns the host bytes the seed-and-extend state adds to the
+// index: both directions' Occ and C arrays, the retained text, and the
+// forward direction's suffix array when the state owns one (a count-only
+// core index). A locate structure shared with the core index is counted by
+// SizeBytes, not again here. 0 when not built.
 func (ix *Index) MemBytes() int {
 	ix.memMu.Lock()
 	defer ix.memMu.Unlock()
 	if ix.mem == nil {
 		return 0
 	}
-	return ix.mem.bi.Forward().SizeBytes() + len(ix.mem.ref)
+	return ix.mem.bi.SizeBytes() + len(ix.mem.ref) - ix.fm.LocateBytes()
 }
 
 func (ix *Index) memState() (*memState, error) {

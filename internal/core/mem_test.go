@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -293,5 +296,105 @@ func TestMemRecordsValidSAM(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	if len(lines) != 2+1+3 { // @HD, @SQ, @PG + three records
 		t.Errorf("%d SAM lines: %q", len(lines), sb.String())
+	}
+}
+
+// TestMemAcrossIndexConfigs maps one paired batch on every index shape the
+// mem state can be derived from: each locate mode, the plain-bit-vector
+// wavelet, and an index reloaded from disk. The seeding layout is built from
+// the core index's BWT and borrows its locate structure, so results and SAM
+// bytes must not depend on the shape, and the extracted text must be the
+// reference.
+func TestMemAcrossIndexConfigs(t *testing.T) {
+	ref, err := readsim.Genome(readsim.GenomeConfig{Length: 20000, GC: 0.45, Seed: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := memTestReads(t, ref, 40, 100)
+	opts := MemOptions{Paired: true, MinInsert: 100, MaxInsert: 600}
+	build := func(cfg IndexConfig) func(t *testing.T) *Index {
+		return func(t *testing.T) *Index {
+			ix, err := BuildIndex(ref, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ix
+		}
+	}
+	configs := []struct {
+		name  string
+		build func(t *testing.T) *Index
+	}{
+		{"full-sa", build(IndexConfig{Locate: LocateFullSA})},
+		{"sampled-16", build(IndexConfig{Locate: LocateSampled, SampleRate: 16})},
+		{"locate-none", build(IndexConfig{Locate: LocateNone})},
+		{"plain-bitvectors", build(IndexConfig{PlainBitvectors: true})},
+		{"reloaded", func(t *testing.T) *Index {
+			path := filepath.Join(t.TempDir(), "ref.bwx")
+			if err := build(IndexConfig{})(t).SaveFile(path); err != nil {
+				t.Fatal(err)
+			}
+			ix, err := LoadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ix
+		}},
+	}
+	var want []MemResult
+	var wantSAM string
+	var sharedBytes int
+	for _, c := range configs {
+		ix := c.build(t)
+		got := make([]MemResult, len(reads))
+		stats, err := ix.MapReadsMemInto(got, reads, opts, MapOptions{Workers: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if stats.MappedReads < len(reads)/2 {
+			t.Fatalf("%s: only %d of %d reads mapped", c.name, stats.MappedReads, len(reads))
+		}
+		if string(ix.mem.ref) != string(ref) {
+			t.Fatalf("%s: mem state's extracted text differs from the reference", c.name)
+		}
+		var buf bytes.Buffer
+		w, err := sam.NewWriter(&buf, ix.SAMRefSeqs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i+1 < len(reads); i += 2 {
+			r1, r2 := ix.MemPairRecords(fmt.Sprintf("p%d/1", i), fmt.Sprintf("p%d/2", i), reads[i], reads[i+1],
+				MemPairFromResults(got[i], got[i+1], opts))
+			if err := w.Write(r1); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Write(r2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// The mem state owns a suffix array only when the core index lends
+		// none; every other shape shares it and adds the same bytes.
+		memBytes := ix.MemBytes()
+		if c.name == "locate-none" {
+			memBytes -= 4 * (len(ref) + 1)
+		}
+		if want == nil {
+			want, wantSAM, sharedBytes = got, buf.String(), memBytes
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: read %d = %+v, %s gave %+v", c.name, i, got[i], configs[0].name, want[i])
+			}
+		}
+		if buf.String() != wantSAM {
+			t.Fatalf("%s: SAM differs from %s", c.name, configs[0].name)
+		}
+		if memBytes != sharedBytes {
+			t.Fatalf("%s: MemBytes %d (own SA excluded), %s has %d", c.name, memBytes, configs[0].name, sharedBytes)
+		}
 	}
 }

@@ -33,26 +33,54 @@ func (r BiRange) Empty() bool { return r.Fwd.Empty() }
 // Count returns the number of occurrences.
 func (r BiRange) Count() int { return r.Fwd.Count() }
 
-// NewBiIndex builds bidirectional FM-indexes over text using the paper's
-// succinct structure for both directions. The forward index carries the
-// full suffix array for locating; the reverse index is count-only.
+// NewBiIndex builds bidirectional FM-indexes over text. A DNA alphabet
+// (sigma 4) gets the checkpointed 2-bit Occ in both directions — the
+// CPU-shaped layout seeding runs on; other alphabets get the paper's
+// wavelet/RRR structure with params. The forward index carries the full
+// suffix array for locating; the reverse index is count-only.
 func NewBiIndex(text []uint8, sigma int, params rrr.Params) (*BiIndex, error) {
-	fwd, err := buildDirection(text, sigma, params, true)
+	fwd, err := buildDirection(text, sigma, occEncoder(sigma, params), true)
 	if err != nil {
 		return nil, fmt.Errorf("fmindex: forward index: %w", err)
+	}
+	return NewBiIndexFromForward(fwd, text, params)
+}
+
+// occEncode encodes one direction's compact BWT data as an Occ provider.
+type occEncode func(data []uint8) (OccProvider, error)
+
+func occEncoder(sigma int, params rrr.Params) occEncode {
+	if sigma == 4 {
+		return func(data []uint8) (OccProvider, error) { return NewCheckpointOcc(data) }
+	}
+	return func(data []uint8) (OccProvider, error) { return NewWaveletOcc(data, sigma, params) }
+}
+
+// NewBiIndexFromForward pairs a prebuilt forward index over text with a
+// reverse direction built from text, encoded as NewBiIndex would. The
+// forward index keeps whatever Occ and locate structures it was built with,
+// so a caller that already holds the text's BWT builds only the reverse
+// direction.
+func NewBiIndexFromForward(fwd *Index, text []uint8, params rrr.Params) (*BiIndex, error) {
+	return pairReverse(fwd, text, occEncoder(fwd.Sigma(), params))
+}
+
+func pairReverse(fwd *Index, text []uint8, enc occEncode) (*BiIndex, error) {
+	if fwd.Len() != len(text) {
+		return nil, fmt.Errorf("fmindex: forward index covers %d symbols, text has %d", fwd.Len(), len(text))
 	}
 	reversed := make([]uint8, len(text))
 	for i, c := range text {
 		reversed[len(text)-1-i] = c
 	}
-	rev, err := buildDirection(reversed, sigma, params, false)
+	rev, err := buildDirection(reversed, fwd.Sigma(), enc, false)
 	if err != nil {
 		return nil, fmt.Errorf("fmindex: reverse index: %w", err)
 	}
-	return &BiIndex{fwd: fwd, rev: rev, sigma: sigma}, nil
+	return &BiIndex{fwd: fwd, rev: rev, sigma: fwd.Sigma()}, nil
 }
 
-func buildDirection(text []uint8, sigma int, params rrr.Params, withSA bool) (*Index, error) {
+func buildDirection(text []uint8, sigma int, enc occEncode, withSA bool) (*Index, error) {
 	sa, err := suffixarray.Build(text, sigma)
 	if err != nil {
 		return nil, err
@@ -61,7 +89,7 @@ func buildDirection(text []uint8, sigma int, params rrr.Params, withSA bool) (*I
 	if err != nil {
 		return nil, err
 	}
-	occ, err := NewWaveletOcc(tr.Data, sigma, params)
+	occ, err := enc(tr.Data)
 	if err != nil {
 		return nil, err
 	}
@@ -77,6 +105,10 @@ func (bi *BiIndex) Forward() *Index { return bi.fwd }
 
 // Len returns the text length.
 func (bi *BiIndex) Len() int { return bi.fwd.Len() }
+
+// SizeBytes reports both directions' footprint, including the forward
+// direction's locate structure.
+func (bi *BiIndex) SizeBytes() int { return bi.fwd.SizeBytes() + bi.rev.SizeBytes() }
 
 // All returns the interval of the empty pattern.
 func (bi *BiIndex) All() BiRange {

@@ -16,6 +16,17 @@ func buildBi(t *testing.T, text []uint8) *BiIndex {
 	return bi
 }
 
+// rrrBiIndex builds the bidirectional index on the paper's RRR wavelet in
+// both directions, the structure NewBiIndex's DNA layout must reproduce.
+func rrrBiIndex(text []uint8, params rrr.Params) (*BiIndex, error) {
+	enc := func(data []uint8) (OccProvider, error) { return NewWaveletOcc(data, 4, params) }
+	fwd, err := buildDirection(text, 4, enc, true)
+	if err != nil {
+		return nil, err
+	}
+	return pairReverse(fwd, text, enc)
+}
+
 func TestBiCountMatchesPlainIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	text := buildText(rng, 2000)

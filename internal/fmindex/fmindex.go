@@ -36,11 +36,12 @@ func (r Range) Count() int {
 // suffix.
 type Index struct {
 	occ OccProvider
-	// wocc is occ's concrete form when it is the wavelet provider. StepAll
-	// calls through it directly: the devirtualized call lets escape analysis
-	// keep the whole-alphabet count buffers on the stack, where the interface
-	// call would force a heap allocation per step.
-	wocc    *WaveletOcc
+	// cocc is occ's concrete form when it is the checkpoint provider, the
+	// layout seeding runs on. StepAll calls through it directly: the
+	// devirtualized call lets escape analysis keep the whole-alphabet count
+	// buffers on the stack, where the interface call would force a heap
+	// allocation per step.
+	cocc    *CheckpointOcc
 	sigma   int
 	primary int
 	n       int
@@ -103,7 +104,7 @@ func NewFromParts(occ OccProvider, sigma, primary int, counts []int, opts Option
 		cFull[s+1] = cFull[s] + counts[s]
 	}
 	ix := &Index{occ: occ, sigma: sigma, primary: primary, n: n, cFull: cFull}
-	ix.wocc, _ = occ.(*WaveletOcc)
+	ix.cocc, _ = occ.(*CheckpointOcc)
 	if opts.SA != nil {
 		if len(opts.SA) != n+1 {
 			return nil, fmt.Errorf("fmindex: suffix array length %d, want %d", len(opts.SA), n+1)
@@ -176,21 +177,21 @@ const maxStepAllSigma = 8
 
 // StepAll computes Step(r, b) for every symbol b in [0, sigma) into
 // dst[0:sigma]. When the Occ provider supports whole-alphabet queries
-// (OccAller — the wavelet structure does) it resolves all sigma steps with
-// two OccAll traversals, one per interval endpoint: for DNA that is 6
-// bit-vector ranks instead of the 16 that four separate Step calls issue.
-// The bidirectional extension step — the seeding hot loop, which needs every
+// (OccAller) it resolves all sigma steps with two OccAll calls, one per
+// interval endpoint: on the checkpoint layout that is two checkpoint loads
+// and scans instead of the eight that four separate Step calls issue. The
+// bidirectional extension step — the seeding hot loop, which needs every
 // symbol's interval to maintain the mirror range — is built on it.
 func (ix *Index) StepAll(r Range, dst []Range) {
-	if ix.wocc == nil || ix.sigma > maxStepAllSigma {
+	if ix.cocc == nil {
 		ix.stepAllGeneric(r, dst)
 		return
 	}
-	// Direct wavelet calls: devirtualized, so escape analysis keeps the
+	// Direct checkpoint calls: devirtualized, so escape analysis keeps the
 	// count buffers on the stack (a per-variable property — which is why the
 	// interface-based fallback lives in a separate function, so its escaping
 	// buffers cannot taint this path).
-	var lo, hi [maxStepAllSigma]int
+	var lo, hi [4]int
 	i := r.Start
 	if i > ix.primary {
 		i--
@@ -199,8 +200,8 @@ func (ix *Index) StepAll(r Range, dst []Range) {
 	if j > ix.primary {
 		j--
 	}
-	ix.wocc.Tree.RankAll(i, lo[:ix.sigma])
-	ix.wocc.Tree.RankAll(j, hi[:ix.sigma])
+	ix.cocc.OccAll(i, lo[:])
+	ix.cocc.OccAll(j, hi[:])
 	for b := 0; b < ix.sigma; b++ {
 		dst[b] = Range{Start: ix.cFull[b] + lo[b], End: ix.cFull[b] + hi[b] - 1}
 	}
@@ -369,15 +370,19 @@ func (ix *Index) locateOne(row int) (int32, error) {
 // SizeBytes reports the footprint of the Occ structure plus whichever
 // locate structure and prefix table are attached.
 func (ix *Index) SizeBytes() int {
-	size := ix.occ.SizeBytes() + len(ix.cFull)*8
-	if ix.sa != nil {
-		size += len(ix.sa) * 4
-	}
-	if ix.sampled != nil {
-		size += ix.sampled.SizeBytes()
-	}
+	size := ix.occ.SizeBytes() + len(ix.cFull)*8 + ix.LocateBytes()
 	if ix.ftab != nil {
 		size += ix.ftab.SizeBytes()
+	}
+	return size
+}
+
+// LocateBytes reports the footprint of the attached locate structures (full
+// and sampled suffix arrays), 0 for a count-only index.
+func (ix *Index) LocateBytes() int {
+	size := len(ix.sa) * 4
+	if ix.sampled != nil {
+		size += ix.sampled.SizeBytes()
 	}
 	return size
 }

@@ -28,8 +28,9 @@ type OccProvider interface {
 // OccAller is the optional fast path for whole-alphabet queries:
 // OccAll(i, counts) fills counts[0:sigma] with Occ(sym, i) for every symbol
 // in one pass. The wavelet provider answers it with a single tree traversal
-// (sigma-1 bit-vector ranks instead of ~2·(sigma-1) via per-symbol Rank),
-// which the bidirectional extension step — the seeding hot loop — exploits.
+// (sigma-1 bit-vector ranks instead of ~2·(sigma-1) via per-symbol Rank);
+// the checkpoint provider with one checkpoint load and one popcount scan.
+// The bidirectional extension step — the seeding hot loop — exploits it.
 type OccAller interface {
 	OccAll(i int, counts []int)
 }
@@ -132,6 +133,11 @@ func NewCheckpointOcc(data []uint8) (*CheckpointOcc, error) {
 		c.words[i/32] |= uint64(s) << uint(i%32*2)
 		counts[s]++
 	}
+	// A length on an interval boundary has its closing checkpoint at n, the
+	// one queries at i = n load.
+	if len(data)%CheckpointInterval == 0 {
+		c.checks[len(data)/CheckpointInterval] = counts
+	}
 	return c, nil
 }
 
@@ -170,6 +176,33 @@ func (c *CheckpointOcc) Occ(sym uint8, i int) int {
 		count += occWord(c.words[w], sym, k)
 	}
 	return count
+}
+
+// OccAll answers the whole-alphabet query from one checkpoint load and one
+// popcount scan: each scanned word yields the counts of symbols 1, 2 and 3
+// from its high/low bit-plane masks, and symbol 0 takes the remainder.
+func (c *CheckpointOcc) OccAll(i int, counts []int) {
+	const low = 0x5555555555555555
+	cp := i / CheckpointInterval
+	var n1, n2, n3, scanned int
+	for w := cp * CheckpointInterval / 32; w*32 < i; w++ {
+		k := min(i-w*32, 32)
+		valid := uint64(low)
+		if k < 32 {
+			valid &= 1<<uint(2*k) - 1
+		}
+		hi := c.words[w] >> 1 & valid
+		lo := c.words[w] & valid
+		n1 += bits.OnesCount64(lo &^ hi)
+		n2 += bits.OnesCount64(hi &^ lo)
+		n3 += bits.OnesCount64(hi & lo)
+		scanned += k
+	}
+	ck := &c.checks[cp]
+	counts[0] = int(ck[0]) + scanned - n1 - n2 - n3
+	counts[1] = int(ck[1]) + n1
+	counts[2] = int(ck[2]) + n2
+	counts[3] = int(ck[3]) + n3
 }
 
 func (c *CheckpointOcc) Len() int   { return c.n }

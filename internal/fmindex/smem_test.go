@@ -147,7 +147,10 @@ func TestSMEMsExactReadSingle(t *testing.T) {
 // repetitive texts push many same-sized candidates through the backward pass
 // of smemsFromPivot, exercising the size-dedup (`ext.Count() != sizeLast`)
 // and the emitted-at-this-edge dedup that the unit tests only reach
-// probabilistically.
+// probabilistically. The same search over the paper's RRR wavelet in both
+// directions must return identical SMEMs, bidirectional intervals and step
+// counts: the checkpoint layout NewBiIndex picks for DNA is a pure speed
+// change.
 func FuzzSMEMs(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1}, []byte{0, 1, 2}, uint8(1))
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0}, []byte{0, 0, 1, 0, 0}, uint8(2))
@@ -194,6 +197,23 @@ func FuzzSMEMs(f *testing.F) {
 		// any in-alphabet pattern and bounded by the quadratic worst case.
 		if steps > 2*len(pattern)*len(pattern)+len(pattern) {
 			t.Fatalf("%d extension steps for a %d-base pattern", steps, len(pattern))
+		}
+		paper, err := rrrBiIndex(text, rrr.Params{BlockSize: 15, SuperblockFactor: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, refSteps, err := paper.SMEMsSteps(pattern, minLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refSteps != steps || len(ref) != len(got) {
+			t.Fatalf("RRR layout: %d SMEMs in %d steps, checkpoint layout: %d in %d",
+				len(ref), refSteps, len(got), steps)
+		}
+		for i := range ref {
+			if ref[i] != got[i] {
+				t.Fatalf("SMEM %d: RRR layout %+v, checkpoint layout %+v", i, ref[i], got[i])
+			}
 		}
 	})
 }

@@ -92,6 +92,16 @@ func ChecksumMemResults(results []core.MemResult) uint64 {
 	return h
 }
 
+// memDeviceBytes is the modeled BRAM footprint of the seeding pass: the
+// paper's RRR forward Occ (the core index's own structure), its C array, the
+// full suffix array (4(n+1) bytes) and the reference text (n bytes). It is
+// the device's figure, independent of the layout the host seeds on.
+func memDeviceBytes(ix *core.Index) int {
+	fm := ix.FM()
+	n := fm.Len()
+	return fm.OccProvider().SizeBytes() + (fm.Sigma()+1)*8 + 4*(n+1) + n
+}
+
 // MapReadsMem runs the seed-and-extend pipeline on the device; see
 // MapReadsMemOpts.
 func (k *Kernel) MapReadsMem(reads []dna.Seq, memOpts core.MemOptions) (*MemRunResult, error) {
@@ -115,15 +125,15 @@ func (k *Kernel) MapReadsMemOpts(reads []dna.Seq, memOpts core.MemOptions, opts 
 		}
 	}
 
-	// The seeding pass needs both directions' structures resident; gate on
-	// BRAM like Program gates the exact index.
-	if err := k.ix.EnsureMem(); err != nil {
-		return nil, err
-	}
-	memBytes := k.ix.MemBytes()
+	// The seeding pass needs its index resident; gate on BRAM like Program
+	// gates the exact index.
+	memBytes := memDeviceBytes(k.ix)
 	if memBytes > cfg.BRAMBytes {
 		return nil, fmt.Errorf("fpga: bidirectional index (%d bytes) exceeds device BRAM (%d bytes)",
 			memBytes, cfg.BRAMBytes)
+	}
+	if err := k.ix.EnsureMem(); err != nil {
+		return nil, err
 	}
 
 	// Pass-1 fault surface: bidirectional index load (unless resident),

@@ -1,6 +1,7 @@
 package fpga
 
 import (
+	"strings"
 	"testing"
 
 	"bwaver/internal/core"
@@ -177,6 +178,41 @@ func TestFarmMemPairBoundaries(t *testing.T) {
 	for i := range host {
 		if run.Results[i] != host[i] {
 			t.Fatalf("read %d diverges across shard boundaries", i)
+		}
+	}
+}
+
+// TestMemBRAMGateBoundary pins the seeding pass's BRAM gate to the modeled
+// device figure — forward RRR Occ + C array + 4(n+1) suffix array + n text —
+// rather than to the bytes of whatever layout the host seeds on. 224676 is
+// the figure for memBatch's 30 kbp genome, recorded while the host mem state
+// was itself RRR-backed, so the device model (gate and index transfer) is
+// unchanged by the host's layout.
+func TestMemBRAMGateBoundary(t *testing.T) {
+	ix, reads := memBatch(t, 30000, 4)
+	const figure = 224676
+	if got := memDeviceBytes(ix); got != figure {
+		t.Fatalf("memDeviceBytes = %d, want %d", got, figure)
+	}
+	opts := core.MemOptions{Paired: true}
+	for _, tc := range []struct {
+		bram  int
+		admit bool
+	}{{figure, true}, {figure - 1, false}} {
+		d, err := NewDevice(Config{BRAMBytes: tc.bram})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := d.Program(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = k.MapReadsMem(reads, opts)
+		switch {
+		case tc.admit && err != nil:
+			t.Fatalf("BRAM %d rejected a %d-byte seeding index: %v", tc.bram, figure, err)
+		case !tc.admit && (err == nil || !strings.Contains(err.Error(), "exceeds device BRAM")):
+			t.Fatalf("BRAM %d admitted a %d-byte seeding index (err %v)", tc.bram, figure, err)
 		}
 	}
 }

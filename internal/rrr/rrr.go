@@ -288,6 +288,35 @@ func (s *Sequence) Bit(i int) bool {
 	return v>>uint(i%s.b)&1 == 1
 }
 
+// Words decodes the whole sequence into plain LSB-first 64-bit words, the
+// last one zero-padded. It walks the blocks in order, carrying the offset
+// position forward, so each block is decoded once — the sequential
+// counterpart of Bit, which re-scans its superblock's classes per call.
+func (s *Sequence) Words() []uint64 {
+	words := make([]uint64, (s.n+63)/64)
+	offPos := 0
+	for blk := 0; blk < s.nBlk; blk++ {
+		c := s.class(blk)
+		w := s.table.Width(c)
+		var v uint64
+		if w > 0 {
+			v = uint64(s.table.Block(c, int(readBits(s.offsets, offPos, w))))
+		} else {
+			v = uint64(s.table.Block(c, 0))
+		}
+		offPos += w
+		pos := blk * s.b
+		wi, bi := pos/64, uint(pos%64)
+		words[wi] |= v << bi
+		// Bits past n are zero, so a block straddling the last word needs no
+		// spill slot.
+		if int(bi)+s.b > 64 && wi+1 < len(words) {
+			words[wi+1] |= v >> (64 - bi)
+		}
+	}
+	return words
+}
+
 // Select1 returns the position of the k-th set bit (k >= 1), or -1 if there
 // are fewer than k ones. Superblock search is binary over the partial sums;
 // within a superblock it scans classes and decodes one block.

@@ -182,6 +182,34 @@ func TestBitDecode(t *testing.T) {
 	}
 }
 
+// TestWordsMatchesBit checks the sequential block-by-block decode against
+// per-bit access, including blocks that straddle word boundaries and the
+// zero padding past the last bit.
+func TestWordsMatchesBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, p := range []Params{DefaultParams, {BlockSize: 7, SuperblockFactor: 3}, {BlockSize: 2, SuperblockFactor: 1}} {
+		for _, n := range []int{0, 1, 63, 64, 65, 749, 4001} {
+			for _, density := range []float64{0, 0.3, 1} {
+				in := randomBools(rng, n, density)
+				s, err := FromBools(in, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				words := s.Words()
+				if len(words) != (n+63)/64 {
+					t.Fatalf("p=%+v n=%d: %d words", p, n, len(words))
+				}
+				for i := 0; i < len(words)*64; i++ {
+					got := words[i/64]>>uint(i%64)&1 == 1
+					if want := i < n && in[i]; got != want {
+						t.Fatalf("p=%+v n=%d density=%v: bit %d = %v, want %v", p, n, density, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSelect1(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{0, 1, 100, 7500} {

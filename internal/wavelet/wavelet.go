@@ -29,6 +29,9 @@ type RankVector interface {
 	Rank0(i int) int
 	Select1(k int) int
 	SizeBytes() int
+	// Words returns the bits as plain LSB-first 64-bit words; bits past
+	// Len are unspecified.
+	Words() []uint64
 }
 
 var (
@@ -239,6 +242,53 @@ func (t *Tree) Access(i int) uint8 {
 	}
 	_ = hi
 	return uint8(lo)
+}
+
+// Decode returns the whole string in one sequential pass. Each node's
+// bit-vector is unpacked once, block by block, and every position then walks
+// root to leaf reading the next unread bit of each node on its path: a
+// node's bits list its positions in string order, so per-node cursors
+// replace the per-position ranks n Access calls would issue.
+func (t *Tree) Decode() []uint8 {
+	type cursor struct {
+		words    []uint64
+		pos      int
+		lo, mid  int
+		zero, on *cursor
+	}
+	var open func(nd *node) *cursor
+	open = func(nd *node) *cursor {
+		if nd == nil {
+			return nil
+		}
+		return &cursor{
+			words: nd.vec.Words(), lo: nd.lo, mid: (nd.lo + nd.hi + 1) / 2,
+			zero: open(nd.zero), on: open(nd.on),
+		}
+	}
+	out := make([]uint8, t.n)
+	root := open(t.root) // nil only for an empty string
+	for i := range out {
+		c := root
+		for {
+			bit := c.words[c.pos>>6] >> uint(c.pos&63) & 1
+			c.pos++
+			if bit == 1 {
+				if c.on == nil {
+					out[i] = uint8(c.mid)
+					break
+				}
+				c = c.on
+			} else {
+				if c.zero == nil {
+					out[i] = uint8(c.lo)
+					break
+				}
+				c = c.zero
+			}
+		}
+	}
+	return out
 }
 
 // Select returns the position of the k-th occurrence of sym (k >= 1), or -1

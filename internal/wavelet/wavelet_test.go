@@ -1,6 +1,7 @@
 package wavelet
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -87,6 +88,37 @@ func TestAccess(t *testing.T) {
 			for i, want := range data {
 				if got := tr.Access(i); got != want {
 					t.Fatalf("%s sigma=%d: Access(%d)=%d, want %d", be.name, sigma, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDecode checks the one-pass sequential decode against the input on
+// every backend, and on a tree read back from its serialized form (the path
+// a cache-restored index takes).
+func TestDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, be := range testBackends {
+		for _, sigma := range []int{2, 3, 4, 7, 16} {
+			for _, n := range []int{0, 1, 100, 3001} {
+				data := randomData(rng, n, sigma)
+				tr, err := New(data, sigma, be.b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if _, err := tr.WriteTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				back, err := ReadTree(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tree := range []*Tree{tr, back} {
+					if got := tree.Decode(); !bytes.Equal(got, data) {
+						t.Fatalf("%s sigma=%d n=%d: Decode differs from the input", be.name, sigma, n)
+					}
 				}
 			}
 		}
